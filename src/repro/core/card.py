@@ -52,40 +52,29 @@ class CoprocessorCard(PciDevice):
     # ---------------------------------------------------------------- hooks
     def _on_command(self, value: int) -> None:
         try:
-            kind = CommandKind(value & 0xFF)
-        except ValueError:
+            handler = self._HANDLERS[value & 0xFF]
+        except KeyError:
             self.interface.write_register(REG_STATUS, STATUS_BAD_COMMAND)
             return
-        handler = {
-            CommandKind.NOP: self._handle_nop,
-            CommandKind.EXECUTE: self._handle_execute,
-            CommandKind.PRELOAD: self._handle_preload,
-            CommandKind.EVICT: self._handle_evict,
-            CommandKind.STATUS: self._handle_nop,
-            CommandKind.RESET: self._handle_reset,
-            CommandKind.SCRUB: self._handle_scrub,
-            CommandKind.CAPTURE: self._handle_capture,
-            CommandKind.RESTORE: self._handle_restore,
-            CommandKind.DEFRAG: self._handle_defrag,
-        }[kind]
-        handler()
+        handler(self)
         self.commands_processed += 1
 
     def _function_name(self) -> Optional[str]:
         function_id = self.interface.read_register(REG_FUNCTION_ID)
         try:
-            return self.coprocessor.bank.by_id(function_id).name
+            return self.coprocessor.bank.by_id(function_id).spec.name
         except KeyError:
             return None
 
     def _finish(self, status: int, output: bytes = b"", elapsed_ns: float = 0.0) -> None:
+        interface = self.interface
         if output:
-            self.interface.write_window(self.output_offset, output)
-        self.interface.write_register(REG_OUTPUT_LENGTH, len(output))
+            interface.write_window(self.output_offset, output)
+        interface.write_register(REG_OUTPUT_LENGTH, len(output))
         nanoseconds = int(elapsed_ns)
-        self.interface.write_register(REG_TIME_LOW, nanoseconds & 0xFFFFFFFF)
-        self.interface.write_register(REG_TIME_HIGH, (nanoseconds >> 32) & 0xFFFFFFFF)
-        self.interface.write_register(REG_STATUS, status)
+        interface.write_register(REG_TIME_LOW, nanoseconds & 0xFFFFFFFF)
+        interface.write_register(REG_TIME_HIGH, (nanoseconds >> 32) & 0xFFFFFFFF)
+        interface.write_register(REG_STATUS, status)
 
     # -------------------------------------------------------------- handlers
     def _handle_nop(self) -> None:
@@ -223,6 +212,20 @@ class CoprocessorCard(PciDevice):
     def _handle_reset(self) -> None:
         self.coprocessor.reset()
         self._finish(STATUS_OK)
+
+    #: Opcode -> handler; opcodes missing here answer STATUS_BAD_COMMAND.
+    _HANDLERS = {
+        CommandKind.NOP: _handle_nop,
+        CommandKind.EXECUTE: _handle_execute,
+        CommandKind.PRELOAD: _handle_preload,
+        CommandKind.EVICT: _handle_evict,
+        CommandKind.STATUS: _handle_nop,
+        CommandKind.RESET: _handle_reset,
+        CommandKind.SCRUB: _handle_scrub,
+        CommandKind.CAPTURE: _handle_capture,
+        CommandKind.RESTORE: _handle_restore,
+        CommandKind.DEFRAG: _handle_defrag,
+    }
 
     # -------------------------------------------------------------- queries
     def resident_functions(self) -> list:

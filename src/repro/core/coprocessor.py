@@ -45,8 +45,12 @@ class ExecutionResult:
     hit: bool
     evictions: List[str]
     latency_ns: float
-    breakdown: Dict[str, float]
     outcome: RequestOutcome
+
+    @property
+    def breakdown(self) -> Dict[str, float]:
+        """Per-phase nanoseconds of the card-side request, in pipeline order."""
+        return self.outcome.breakdown()
 
     @property
     def reconfigured(self) -> bool:
@@ -217,9 +221,9 @@ class AgileCoprocessor:
             self.download_bank()
         if name not in self.bank:
             raise UnknownFunctionError(name)
-        started = self.clock.now
+        started = self.clock._now
         outcome = self.mcu.handle_execute(name, data, future_requests=future_requests)
-        latency = self.clock.now - started
+        latency = self.clock._now - started
         self.stats.record(outcome, input_bytes=len(data))
         return ExecutionResult(
             function=name,
@@ -227,7 +231,6 @@ class AgileCoprocessor:
             hit=outcome.hit,
             evictions=list(outcome.evictions),
             latency_ns=latency,
-            breakdown=outcome.breakdown(),
             outcome=outcome,
         )
 

@@ -61,6 +61,8 @@ class HostDriver:
         self.bus = bus
         self.bridge = bridge
         self.card = card
+        #: The bus's clock, which the card shares.
+        self.clock = bus.clock
         self.calls: int = 0
         self.total_pci_ns: float = 0.0
         bridge.enumerate()
@@ -70,39 +72,38 @@ class HostDriver:
     def coprocessor(self) -> AgileCoprocessor:
         return self.card.coprocessor
 
-    @property
-    def clock(self):
-        return self.bus.clock
-
     def _write_input(self, data: bytes) -> float:
-        started = self.clock.now
+        started = self.clock._now
         if not data:
             return 0.0
         if len(data) <= self.PIO_THRESHOLD_BYTES:
             self.bridge.write_window(self.card.name, 0, data)
         else:
             self.bridge.dma_to_card(self.card.name, 0, data)
-        return self.clock.now - started
+        return self.clock._now - started
 
     def _read_output(self, length: int) -> tuple:
-        started = self.clock.now
+        started = self.clock._now
         if length == 0:
             return b"", 0.0
         if length <= self.PIO_THRESHOLD_BYTES:
             data = self.bridge.read_window(self.card.name, self.card.output_offset, length)
         else:
             data = self.bridge.dma_from_card(self.card.name, self.card.output_offset, length).data
-        return data, self.clock.now - started
+        return data, self.clock._now - started
 
     def _issue_command(self, kind: CommandKind, function_id: int, input_length: int) -> float:
-        started = self.clock.now
-        self.bridge.write_register(self.card.name, REG_FUNCTION_ID, function_id)
-        self.bridge.write_register(self.card.name, REG_INPUT_LENGTH, input_length)
-        self.bridge.write_register(self.card.name, REG_COMMAND, int(kind))
-        status = self.bridge.read_register(self.card.name, REG_STATUS)
+        clock = self.clock
+        bridge = self.bridge
+        card_name = self.card.name
+        started = clock._now
+        bridge.write_register(card_name, REG_FUNCTION_ID, function_id)
+        bridge.write_register(card_name, REG_INPUT_LENGTH, input_length)
+        bridge.write_register(card_name, REG_COMMAND, kind)
+        status = bridge.read_register(card_name, REG_STATUS)
         if status != STATUS_OK:
             raise CoprocessorError(f"card returned status {status} for {kind.name}")
-        return self.clock.now - started
+        return clock._now - started
 
     # ------------------------------------------------------------------ API
     def download_bank(self) -> None:
@@ -111,26 +112,30 @@ class HostDriver:
 
     def call(self, name: str, data: bytes) -> HostCallResult:
         """Execute *name* on *data*, end to end through the PCI."""
-        if name not in self.coprocessor.bank:
-            raise UnknownFunctionError(name)
-        function = self.coprocessor.bank.by_name(name)
-        started = self.clock.now
+        card = self.card
+        try:
+            function = card.coprocessor.bank.by_name(name)
+        except KeyError:
+            raise UnknownFunctionError(name) from None
+        clock = self.clock
+        started = clock._now
         input_ns = self._write_input(data)
-        command_ns = self._issue_command(CommandKind.EXECUTE, function.function_id, len(data))
-        output_length = self.bridge.read_register(self.card.name, REG_OUTPUT_LENGTH)
+        command_ns = self._issue_command(CommandKind.EXECUTE, function.spec.function_id, len(data))
+        output_length = self.bridge.read_register(card.name, REG_OUTPUT_LENGTH)
         output, output_ns = self._read_output(output_length)
-        total = self.clock.now - started
+        total = clock._now - started
         # The command phase is synchronous: the card executes inside the
         # register-write transaction, so subtract the card time to leave only
         # the register/bus overhead in ``command_ns``.
-        if self.card.last_result is not None:
-            command_ns = max(0.0, command_ns - self.card.last_result.latency_ns)
+        card_result = card.last_result
+        if card_result is not None:
+            command_ns = max(0.0, command_ns - card_result.latency_ns)
         self.calls += 1
         self.total_pci_ns += input_ns + output_ns
         return HostCallResult(
             function=name,
             output=output,
-            card_result=self.card.last_result,
+            card_result=card_result,
             input_transfer_ns=input_ns,
             output_transfer_ns=output_ns,
             command_ns=command_ns,

@@ -250,7 +250,8 @@ class FPGADevice:
             loaded = self._loaded[name]
         except KeyError:
             raise ExecutionError(f"function {name!r} is not loaded on the fabric") from None
-        started = self.clock.now
+        clock = self.clock
+        started = clock._now
         detector = self.hazard_detector
         if detector is not None:
             # The hazard window: a function whose frames were corrupted after
@@ -259,11 +260,14 @@ class FPGADevice:
             detector.observe_execution(name, loaded.region)
         output, cycles = loaded.executor.run(input_bytes)
         elapsed = self.fabric_domain.cycles_to_ns(cycles)
-        self.clock.advance(elapsed)
+        clock.advance(elapsed)
         loaded.executions += 1
         loaded.total_cycles += cycles
         self.total_executions += 1
-        self.trace.record("fpga", "execute", started, self.clock.now, function=name, cycles=cycles)
+        if self.trace.enabled:
+            self.trace.record(
+                "fpga", "execute", started, clock._now, function=name, cycles=cycles
+            )
         return output, elapsed
 
     # ----------------------------------------------------------- relocation

@@ -75,5 +75,6 @@ class MatMulFunction(HardwareFunction):
             product = matrix_multiply(a, b)
             for row in product:
                 for value in row:
-                    out.extend(struct.pack("<i", value))
+                    # The hardware's int32 accumulator wraps in two's complement.
+                    out.extend(struct.pack("<I", value & 0xFFFFFFFF))
         return bytes(out)

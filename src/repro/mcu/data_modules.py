@@ -32,41 +32,11 @@ class TransferRecord:
     elapsed_ns: float
 
 
-class _InterfaceBus:
-    """Shared timing logic for both data modules."""
+class _DataModule:
+    """Interface-bus timing and transfer accounting shared by both modules."""
 
-    def __init__(
-        self,
-        clock: Clock,
-        bus_width_bytes: int = 4,
-        bus_clock_hz: float = 66e6,
-        setup_cycles: int = 4,
-    ) -> None:
-        if bus_width_bytes <= 0:
-            raise ValueError("interface bus width must be positive")
-        if setup_cycles < 0:
-            raise ValueError("setup cycles cannot be negative")
-        self.clock = clock
-        self.bus_width_bytes = bus_width_bytes
-        self.domain = ClockDomain("interface-bus", bus_clock_hz)
-        self.setup_cycles = setup_cycles
-
-    def padded_length(self, payload_bytes: int) -> int:
-        """Round *payload_bytes* up to a whole number of bus beats."""
-        if payload_bytes == 0:
-            return 0
-        beats = -(-payload_bytes // self.bus_width_bytes)
-        return beats * self.bus_width_bytes
-
-    def transfer_time_ns(self, payload_bytes: int) -> Tuple[int, float]:
-        """(beats, nanoseconds) for a transfer of *payload_bytes*."""
-        beats = -(-payload_bytes // self.bus_width_bytes) if payload_bytes else 0
-        cycles = self.setup_cycles + beats
-        return beats, self.domain.cycles_to_ns(cycles)
-
-
-class DataInputModule:
-    """Moves staged input data from the local RAM to the loaded function."""
+    direction = ""
+    SETUP_CYCLES = 4  # interface-bus cycles charged before every transfer
 
     def __init__(
         self,
@@ -76,12 +46,42 @@ class DataInputModule:
         bus_clock_hz: float = 66e6,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
+        if bus_width_bytes <= 0:
+            raise ValueError("interface bus width must be positive")
         self.ram = ram
-        self.bus = _InterfaceBus(clock, bus_width_bytes, bus_clock_hz)
         self.clock = clock
+        self.bus_width_bytes = bus_width_bytes
+        self.domain = ClockDomain("interface-bus", bus_clock_hz)
         self.trace = trace if trace is not None else TraceRecorder(clock, enabled=False)
         self.transfers = 0
         self.bytes_transferred = 0
+
+    def _move(self, payload_bytes: int) -> int:
+        """Charge the bus time of *payload_bytes*; returns the beats moved.
+
+        Transfers move whole bus beats, so the padded length is
+        ``beats * bus_width_bytes``.
+        """
+        beats = -(-payload_bytes // self.bus_width_bytes) if payload_bytes else 0
+        self.clock.advance(self.domain.cycles_to_ns(self.SETUP_CYCLES + beats))
+        return beats
+
+    def _account(self, payload_bytes: int, beats: int, started: float) -> TransferRecord:
+        self.transfers += 1
+        self.bytes_transferred += payload_bytes
+        return TransferRecord(
+            direction=self.direction,
+            payload_bytes=payload_bytes,
+            padded_bytes=beats * self.bus_width_bytes,
+            beats=beats,
+            elapsed_ns=self.clock._now - started,
+        )
+
+
+class DataInputModule(_DataModule):
+    """Moves staged input data from the local RAM to the loaded function."""
+
+    direction = "input"
 
     def feed(self, allocation: RamAllocation, length: int) -> Tuple[bytes, TransferRecord]:
         """Read *length* bytes from RAM and stream them to the fabric.
@@ -89,55 +89,26 @@ class DataInputModule:
         Returns the payload (exactly *length* bytes) and the transfer record
         (whose timing reflects the padded, bus-width-aligned length).
         """
-        started = self.clock.now
+        started = self.clock._now
         payload = self.ram.read(allocation, length)
-        beats, bus_time = self.bus.transfer_time_ns(length)
-        self.clock.advance(bus_time)
-        record = TransferRecord(
-            direction="input",
-            payload_bytes=length,
-            padded_bytes=self.bus.padded_length(length),
-            beats=beats,
-            elapsed_ns=self.clock.now - started,
-        )
-        self.transfers += 1
-        self.bytes_transferred += length
-        self.trace.record("data-in", "feed", started, self.clock.now, bytes=length)
+        record = self._account(length, self._move(length), started)
+        if self.trace.enabled:
+            self.trace.record("data-in", "feed", started, self.clock._now, bytes=length)
         return payload, record
 
 
-class OutputCollectionModule:
+class OutputCollectionModule(_DataModule):
     """Collects results from the loaded function into the local RAM."""
 
-    def __init__(
-        self,
-        ram: LocalRam,
-        clock: Clock,
-        bus_width_bytes: int = 4,
-        bus_clock_hz: float = 66e6,
-        trace: Optional[TraceRecorder] = None,
-    ) -> None:
-        self.ram = ram
-        self.bus = _InterfaceBus(clock, bus_width_bytes, bus_clock_hz)
-        self.clock = clock
-        self.trace = trace if trace is not None else TraceRecorder(clock, enabled=False)
-        self.transfers = 0
-        self.bytes_transferred = 0
+    direction = "output"
 
     def collect(self, allocation: RamAllocation, payload: bytes) -> TransferRecord:
         """Stream *payload* from the fabric and store it into RAM."""
-        started = self.clock.now
-        beats, bus_time = self.bus.transfer_time_ns(len(payload))
-        self.clock.advance(bus_time)
+        started = self.clock._now
+        length = len(payload)
+        beats = self._move(length)
         self.ram.write(allocation, payload)
-        record = TransferRecord(
-            direction="output",
-            payload_bytes=len(payload),
-            padded_bytes=self.bus.padded_length(len(payload)),
-            beats=beats,
-            elapsed_ns=self.clock.now - started,
-        )
-        self.transfers += 1
-        self.bytes_transferred += len(payload)
-        self.trace.record("data-out", "collect", started, self.clock.now, bytes=len(payload))
+        record = self._account(length, beats, started)
+        if self.trace.enabled:
+            self.trace.record("data-out", "collect", started, self.clock._now, bytes=length)
         return record

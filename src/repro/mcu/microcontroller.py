@@ -105,17 +105,26 @@ class Microcontroller:
         self,
         name: str,
         future_requests: Optional[Sequence[str]] = None,
+        blob: Optional[bytes] = None,
     ) -> RequestOutcome:
         """Make *name* resident without executing it (the PRELOAD command).
 
-        Returns a partial :class:`RequestOutcome` (no output / data phases).
+        With *blob* the configuration comes from a migration blob instead of
+        the ROM (the RESTORE command).  Returns a partial
+        :class:`RequestOutcome` (no output / data phases).
         """
-        started = self.clock.now
+        clock = self.clock
+        started = clock._now
         function = self.bank.by_name(name)
         decode_time = self._charge_cycles(self.command_decode_cycles)
+        if blob is not None:
+            # Validate the blob before any planning: a corrupted or mismatched
+            # transfer must never cost the destination its resident functions
+            # (the eviction loop below is irreversible).
+            self.config_module.validate_transfer_blob(name, blob)
         frames_needed = function.frames_required(self.device.geometry)
         decision = self.minios.plan_load(
-            name, frames_needed, self.clock.now, future_requests=future_requests
+            name, frames_needed, clock._now, future_requests=future_requests
         )
         outcome = RequestOutcome(function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time)
         if not decision.hit:
@@ -125,21 +134,27 @@ class Microcontroller:
             # keeps serving its resident functions instead of stripping its
             # own fabric on every miss routed to it.
             if self.device.port.wedged:
+                action = "load" if blob is None else "restore"
                 raise ConfigurationError(
-                    f"configuration port is wedged; cannot load {name!r}"
+                    f"configuration port is wedged; cannot {action} {name!r}"
                 )
-            reconfig_started = self.clock.now
+            reconfig_started = clock._now
             for victim in decision.evictions:
                 self.device.unload(victim)
                 self.minios.commit_eviction(victim)
                 outcome.evictions.append(victim)
             executor = function.executor(self.device.geometry)
-            report = self.config_module.reconfigure(name, decision.region, executor)
-            self.minios.commit_load(name, decision.region, self.clock.now)
+            if blob is None:
+                report = self.config_module.reconfigure(name, decision.region, executor)
+            else:
+                report = self.config_module.restore_from_blob(
+                    name, blob, decision.region, executor
+                )
+            self.minios.commit_load(name, decision.region, clock._now)
             outcome.reconfiguration = report
-            outcome.reconfig_time_ns = self.clock.now - reconfig_started
-        self.minios.touch(name, self.clock.now)
-        outcome.total_time_ns = self.clock.now - started
+            outcome.reconfig_time_ns = clock._now - reconfig_started
+        self.minios.touch(name, clock._now)
+        outcome.total_time_ns = clock._now - started
         return outcome
 
     def resident_functions(self) -> List[str]:
@@ -184,40 +199,7 @@ class Microcontroller:
         path, so a restore pays the same real card time a miss would (minus
         the ROM fetch the PCI transfer already replaced).
         """
-        started = self.clock.now
-        function = self.bank.by_name(name)
-        decode_time = self._charge_cycles(self.command_decode_cycles)
-        # Validate the blob before any planning: a corrupted or mismatched
-        # transfer must never cost the destination its resident functions
-        # (the eviction loop below is irreversible).
-        self.config_module.validate_transfer_blob(name, blob)
-        decision = self.minios.plan_load(
-            name, function.frames_required(self.device.geometry), self.clock.now
-        )
-        outcome = RequestOutcome(
-            function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time
-        )
-        if not decision.hit:
-            assert decision.region is not None
-            if self.device.port.wedged:
-                raise ConfigurationError(
-                    f"configuration port is wedged; cannot restore {name!r}"
-                )
-            reconfig_started = self.clock.now
-            for victim in decision.evictions:
-                self.device.unload(victim)
-                self.minios.commit_eviction(victim)
-                outcome.evictions.append(victim)
-            executor = function.executor(self.device.geometry)
-            report = self.config_module.restore_from_blob(
-                name, blob, decision.region, executor
-            )
-            self.minios.commit_load(name, decision.region, self.clock.now)
-            outcome.reconfiguration = report
-            outcome.reconfig_time_ns = self.clock.now - reconfig_started
-        self.minios.touch(name, self.clock.now)
-        outcome.total_time_ns = self.clock.now - started
-        return outcome
+        return self.ensure_loaded(name, blob=blob)
 
     def defrag(self, max_moves: Optional[int] = None):
         """DEFRAG command: one compaction pass by the mini OS's defragmenter.
@@ -258,7 +240,9 @@ class Microcontroller:
         future_requests: Optional[Sequence[str]] = None,
     ) -> RequestOutcome:
         """Run *name* on *data*, loading it on demand first if necessary."""
-        started = self.clock.now
+        clock = self.clock
+        ram = self.ram
+        started = clock._now
         outcome = self.ensure_loaded(name, future_requests=future_requests)
 
         if self.scrub_on_execute:
@@ -271,47 +255,44 @@ class Microcontroller:
 
         # Stage the input in local RAM (the paper: inputs from the host are
         # stored in the local RAM before being passed to the data input module).
-        stage_started = self.clock.now
+        stage_started = clock._now
         input_label = f"in:{self.requests_handled}"
         output_label = f"out:{self.requests_handled}"
-        input_allocation = self.ram.allocate(input_label, max(1, len(data)))
+        input_allocation = ram.allocate(input_label, len(data) or 1)
         if data:
-            self.ram.write(input_allocation, data)
-        outcome.stage_input_time_ns = self.clock.now - stage_started
+            ram.write(input_allocation, data)
+        outcome.stage_input_time_ns = clock._now - stage_started
 
+        output_allocation = None
         try:
-            feed_started = self.clock.now
+            feed_started = clock._now
             payload, _ = self.data_in.feed(input_allocation, len(data))
-            outcome.feed_time_ns = self.clock.now - feed_started
+            outcome.feed_time_ns = clock._now - feed_started
 
-            execute_started = self.clock.now
+            execute_started = clock._now
             output, _ = self.device.execute(name, payload)
-            outcome.execute_time_ns = self.clock.now - execute_started
+            outcome.execute_time_ns = clock._now - execute_started
 
-            collect_started = self.clock.now
-            output_allocation = self.ram.allocate(output_label, max(1, len(output)))
+            collect_started = clock._now
+            output_allocation = ram.allocate(output_label, len(output) or 1)
             self.data_out.collect(output_allocation, output)
-            outcome.collect_time_ns = self.clock.now - collect_started
+            outcome.collect_time_ns = clock._now - collect_started
 
-            readout_started = self.clock.now
-            result = self.ram.read(output_allocation, len(output)) if output else b""
-            outcome.readout_time_ns = self.clock.now - readout_started
+            readout_started = clock._now
+            result = ram.read(output_allocation, len(output)) if output else b""
+            outcome.readout_time_ns = clock._now - readout_started
         finally:
-            self.ram.free(input_label)
-            if output_label in self.ram.allocations:
-                self.ram.free(output_label)
+            ram.free(input_label)
+            if output_allocation is not None:
+                ram.free(output_label)
 
         outcome.output = result
-        outcome.total_time_ns = self.clock.now - started
+        outcome.total_time_ns = clock._now - started
         self.requests_handled += 1
         if len(self.outcomes) < self.max_recorded_outcomes:
             self.outcomes.append(outcome)
-        self.trace.record(
-            "mcu",
-            "execute",
-            started,
-            self.clock.now,
-            function=name,
-            hit=outcome.hit,
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                "mcu", "execute", started, clock._now, function=name, hit=outcome.hit
+            )
         return outcome

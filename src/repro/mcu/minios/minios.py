@@ -117,7 +117,7 @@ class MiniOs:
                 f"{name!r} needs {frames_needed} frames but the device only has "
                 f"{self.geometry.frame_count}"
             )
-        if self.is_resident(name):
+        if name in self.table:
             self.stats.hits += 1
             return EvictionDecision(function=name, frames_needed=frames_needed, hit=True)
 

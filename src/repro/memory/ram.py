@@ -9,6 +9,7 @@ requests (input buffer + output buffer per outstanding call) can coexist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Optional
 
 from repro.memory.errors import RamAllocationError
@@ -30,6 +31,9 @@ class RamAllocation:
         return self.address + self.length
 
 
+_ADDRESS = attrgetter("address")
+
+
 class LocalRam:
     """Byte-addressable SRAM with a first-fit allocator and timed access."""
 
@@ -48,6 +52,7 @@ class LocalRam:
         self.trace = trace if trace is not None else TraceRecorder(self.clock, enabled=False)
         self._data = bytearray(capacity_bytes)
         self._allocations: Dict[str, RamAllocation] = {}
+        self._bytes_allocated = 0
         self.total_reads = 0
         self.total_writes = 0
         self.total_bytes_moved = 0
@@ -60,11 +65,11 @@ class LocalRam:
 
     @property
     def bytes_allocated(self) -> int:
-        return sum(allocation.length for allocation in self._allocations.values())
+        return self._bytes_allocated
 
     @property
     def bytes_free(self) -> int:
-        return self.capacity_bytes - self.bytes_allocated
+        return self.capacity_bytes - self._bytes_allocated
 
     def allocate(self, label: str, length: int) -> RamAllocation:
         """Reserve *length* bytes under *label* (first fit).
@@ -76,12 +81,11 @@ class LocalRam:
             raise ValueError("allocation length must be positive")
         if label in self._allocations:
             raise RamAllocationError(f"allocation label {label!r} already in use")
-        taken = sorted(self._allocations.values(), key=lambda a: a.address)
         cursor = 0
-        for allocation in taken:
+        for allocation in sorted(self._allocations.values(), key=_ADDRESS):
             if allocation.address - cursor >= length:
                 break
-            cursor = max(cursor, allocation.end)
+            cursor = allocation.address + allocation.length
         if cursor + length > self.capacity_bytes:
             raise RamAllocationError(
                 f"local RAM cannot allocate {length} bytes for {label!r}: "
@@ -89,35 +93,44 @@ class LocalRam:
             )
         allocation = RamAllocation(label=label, address=cursor, length=length)
         self._allocations[label] = allocation
-        self.peak_bytes_allocated = max(self.peak_bytes_allocated, self.bytes_allocated)
+        self._bytes_allocated += length
+        if self._bytes_allocated > self.peak_bytes_allocated:
+            self.peak_bytes_allocated = self._bytes_allocated
         return allocation
 
     def free(self, label: str) -> None:
         """Release the allocation identified by *label*."""
         try:
-            del self._allocations[label]
+            allocation = self._allocations.pop(label)
         except KeyError:
             raise RamAllocationError(f"no allocation labelled {label!r}") from None
+        self._bytes_allocated -= allocation.length
 
     def free_all(self) -> None:
         self._allocations.clear()
+        self._bytes_allocated = 0
 
     # ----------------------------------------------------------------- I/O
     def write(self, allocation: RamAllocation, data: bytes, offset: int = 0) -> float:
         """Timed write of *data* into *allocation* at *offset*; returns the time."""
-        if offset < 0 or offset + len(data) > allocation.length:
+        length = len(data)
+        if offset < 0 or offset + length > allocation.length:
             raise ValueError(
-                f"write of {len(data)} bytes at offset {offset} exceeds allocation "
+                f"write of {length} bytes at offset {offset} exceeds allocation "
                 f"{allocation.label!r} ({allocation.length} bytes)"
             )
-        started = self.clock.now
-        elapsed = self.timing.transfer_time_ns(len(data))
-        self.clock.advance(elapsed)
+        clock = self.clock
+        started = clock._now
+        elapsed = self.timing.transfer_time_ns(length)
+        clock.advance(elapsed)
         address = allocation.address + offset
-        self._data[address : address + len(data)] = data
+        self._data[address : address + length] = data
         self.total_writes += 1
-        self.total_bytes_moved += len(data)
-        self.trace.record("ram", "write", started, self.clock.now, label=allocation.label, length=len(data))
+        self.total_bytes_moved += length
+        if self.trace.enabled:
+            self.trace.record(
+                "ram", "write", started, clock._now, label=allocation.label, length=length
+            )
         return elapsed
 
     def read(self, allocation: RamAllocation, length: Optional[int] = None, offset: int = 0) -> bytes:
@@ -128,19 +141,22 @@ class LocalRam:
                 f"read of {length} bytes at offset {offset} exceeds allocation "
                 f"{allocation.label!r} ({allocation.length} bytes)"
             )
-        started = self.clock.now
-        elapsed = self.timing.transfer_time_ns(length)
-        self.clock.advance(elapsed)
+        clock = self.clock
+        started = clock._now
+        clock.advance(self.timing.transfer_time_ns(length))
         address = allocation.address + offset
         self.total_reads += 1
         self.total_bytes_moved += length
-        self.trace.record("ram", "read", started, self.clock.now, label=allocation.label, length=length)
+        if self.trace.enabled:
+            self.trace.record(
+                "ram", "read", started, clock._now, label=allocation.label, length=length
+            )
         return bytes(self._data[address : address + length])
 
     # ------------------------------------------------------------ reporting
     def describe(self) -> str:
         parts = [
             f"{allocation.label}@{allocation.address}+{allocation.length}"
-            for allocation in sorted(self._allocations.values(), key=lambda a: a.address)
+            for allocation in sorted(self._allocations.values(), key=_ADDRESS)
         ]
         return f"LocalRam({self.bytes_allocated}/{self.capacity_bytes} bytes: {', '.join(parts) or 'empty'})"

@@ -8,11 +8,18 @@ real driver would sit on top of the kernel's PCI layer.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.pci.bus import PciBus
 from repro.pci.device import PciDevice
 from repro.pci.dma import DmaDescriptor, DmaEngine
+
+
+class _EnumeratedBases(dict):
+    """Device name -> BAR base; a lookup before enumeration names the device."""
+
+    def __missing__(self, device_name: str) -> int:
+        raise KeyError(f"device {device_name!r} has not been enumerated")
 
 
 class HostBridge:
@@ -25,8 +32,8 @@ class HostBridge:
         self.bus = bus
         self.dma = DmaEngine(bus, max_burst_bytes=dma_burst_bytes)
         self._next_base = self.MMIO_BASE
-        self._register_base: Dict[str, int] = {}
-        self._window_base: Dict[str, int] = {}
+        self._register_base = _EnumeratedBases()
+        self._window_base = _EnumeratedBases()
 
     # ----------------------------------------------------------- enumeration
     def enumerate(self) -> List[PciDevice]:
@@ -52,40 +59,32 @@ class HostBridge:
         return address if remainder == 0 else address + (alignment - remainder)
 
     def register_base(self, device_name: str) -> int:
-        try:
-            return self._register_base[device_name]
-        except KeyError:
-            raise KeyError(f"device {device_name!r} has not been enumerated") from None
+        return self._register_base[device_name]
 
     def window_base(self, device_name: str) -> int:
-        try:
-            return self._window_base[device_name]
-        except KeyError:
-            raise KeyError(f"device {device_name!r} has not been enumerated") from None
+        return self._window_base[device_name]
 
     # -------------------------------------------------------- programmed I/O
     def write_register(self, device_name: str, offset: int, value: int) -> None:
-        address = self.register_base(device_name) + offset
+        address = self._register_base[device_name] + offset
         self.bus.write(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
     def read_register(self, device_name: str, offset: int) -> int:
-        address = self.register_base(device_name) + offset
+        address = self._register_base[device_name] + offset
         return int.from_bytes(self.bus.read(address, 4), "little")
 
     def write_window(self, device_name: str, offset: int, payload: bytes) -> None:
         """Programmed-I/O write into the card's data window (small payloads)."""
-        address = self.window_base(device_name) + offset
-        self.bus.write(address, payload)
+        self.bus.write(self._window_base[device_name] + offset, payload)
 
     def read_window(self, device_name: str, offset: int, length: int) -> bytes:
-        address = self.window_base(device_name) + offset
-        return self.bus.read(address, length)
+        return self.bus.read(self._window_base[device_name] + offset, length)
 
     # ------------------------------------------------------------------ DMA
     def dma_to_card(self, device_name: str, offset: int, payload: bytes):
         """DMA a host buffer into the card's data window."""
         descriptor = DmaDescriptor(
-            card_address=self.window_base(device_name) + offset,
+            card_address=self._window_base[device_name] + offset,
             length=len(payload),
             to_card=True,
             host_buffer=payload,
@@ -95,7 +94,7 @@ class HostBridge:
     def dma_from_card(self, device_name: str, offset: int, length: int):
         """DMA from the card's data window into a host buffer."""
         descriptor = DmaDescriptor(
-            card_address=self.window_base(device_name) + offset,
+            card_address=self._window_base[device_name] + offset,
             length=length,
             to_card=False,
         )

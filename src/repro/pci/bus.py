@@ -9,8 +9,9 @@ phases + turnaround; bursts move ``bus_width_bytes`` per data phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.pci.config_space import BaseAddressRegister, PciConfigSpace
 from repro.pci.transaction import PciTransaction, TransactionKind
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
@@ -66,12 +67,18 @@ class PciBus:
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.clock = clock if clock is not None else Clock()
-        self.timing = timing if timing is not None else PciBusTiming()
+        self._timing = timing if timing is not None else PciBusTiming()
         self.trace = trace if trace is not None else TraceRecorder(self.clock, enabled=False)
         self._devices: List["PciDeviceProtocol"] = []
+        self._time_ns_by_length: Dict[int, float] = {}
         self.transactions_completed = 0
         self.bytes_transferred = 0
         self.busy_time_ns = 0.0
+
+    @property
+    def timing(self) -> PciBusTiming:
+        """Cycle costs of the bus; fixed, because ``submit`` caches them per length."""
+        return self._timing
 
     # --------------------------------------------------------------- wiring
     def attach(self, device: "PciDeviceProtocol") -> None:
@@ -88,40 +95,40 @@ class PciBus:
 
         Routing happens before any time is charged: a master abort (no device
         claims the address) must not advance the clock or count as bus busy
-        time, because the data phases never happen.
+        time, because the data phases never happen.  Each device's BARs are
+        decoded once per transaction, from its live config space, so BAR
+        reassignments and memory-enable changes take effect immediately.
         """
-        target = self._route(transaction)
-        if target is None:
-            raise PciBusError(
-                f"master abort: no device claims address 0x{transaction.address:08x}"
-            )
-        started = self.clock.now
-        elapsed = self.timing.time_ns(transaction.length)
-        self.clock.advance(elapsed)
-        if transaction.is_write:
-            target.memory_write(transaction.address, transaction.payload)
+        address = transaction.address
+        for target in self._devices:
+            bar = target.config_space.decode(address)
+            if bar is not None:
+                break
         else:
-            transaction.payload = target.memory_read(transaction.address, transaction.length)
+            raise PciBusError(f"master abort: no device claims address 0x{address:08x}")
+        clock = self.clock
+        started = clock._now
+        length = transaction.length
+        try:
+            elapsed = self._time_ns_by_length[length]
+        except KeyError:
+            elapsed = self._time_ns_by_length[length] = self._timing.time_ns(length)
+        clock.advance(elapsed)
+        offset = address - bar.base_address
+        if transaction.is_write:
+            target.bar_write(bar, offset, transaction.payload)
+        else:
+            transaction.payload = target.bar_read(bar, offset, length)
         transaction.completed = True
-        transaction.latency_ns = self.clock.now - started
+        transaction.latency_ns = clock._now - started
         self.transactions_completed += 1
-        self.bytes_transferred += transaction.length
+        self.bytes_transferred += length
         self.busy_time_ns += elapsed
-        self.trace.record(
-            "pci",
-            transaction.kind.value,
-            started,
-            self.clock.now,
-            address=transaction.address,
-            length=transaction.length,
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                "pci", transaction.kind.value, started, clock._now, address=address, length=length
+            )
         return transaction
-
-    def _route(self, transaction: PciTransaction) -> Optional["PciDeviceProtocol"]:
-        for device in self._devices:
-            if device.claims(transaction.address):
-                return device
-        return None
 
     # ------------------------------------------------------------ utilities
     def write(self, address: int, payload: bytes) -> PciTransaction:
@@ -144,13 +151,17 @@ class PciBus:
 
 
 class PciDeviceProtocol:
-    """Interface the bus expects of attached devices (duck-typed)."""
+    """Interface the bus expects of attached devices (duck-typed).
 
-    def claims(self, address: int) -> bool:  # pragma: no cover - interface
+    The bus claims addresses through ``config_space.decode`` (a
+    :class:`~repro.pci.config_space.PciConfigSpace`) and hands the target the
+    claiming BAR and the offset into it, so no address is decoded twice.
+    """
+
+    config_space: "PciConfigSpace"
+
+    def bar_read(self, bar: "BaseAddressRegister", offset: int, length: int) -> bytes:  # pragma: no cover
         raise NotImplementedError
 
-    def memory_read(self, address: int, length: int) -> bytes:  # pragma: no cover
-        raise NotImplementedError
-
-    def memory_write(self, address: int, payload: bytes) -> None:  # pragma: no cover
+    def bar_write(self, bar: "BaseAddressRegister", offset: int, payload: bytes) -> None:  # pragma: no cover
         raise NotImplementedError

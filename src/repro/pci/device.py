@@ -20,30 +20,32 @@ class PciFunctionInterface:
             raise ValueError("interface sizes must be positive")
         self.register_bytes = register_bytes
         self.window_bytes = window_bytes
-        self._registers = bytearray(register_bytes)
+        # One 32-bit value per register; the keys are exactly the valid
+        # (aligned, in-range) offsets.
+        self._registers: Dict[int, int] = dict.fromkeys(range(0, register_bytes, 4), 0)
         self._window = bytearray(window_bytes)
         self._write_hooks: Dict[int, Callable[[int], None]] = {}
 
     # ------------------------------------------------------------ registers
     def read_register(self, offset: int) -> int:
-        self._check_register(offset)
-        return int.from_bytes(self._registers[offset : offset + 4], "little")
+        try:
+            return self._registers[offset]
+        except KeyError:
+            raise ValueError(f"register offset 0x{offset:x} is invalid") from None
 
     def write_register(self, offset: int, value: int) -> None:
-        self._check_register(offset)
-        self._registers[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-        hook = self._write_hooks.get(offset)
-        if hook is not None:
-            hook(value & 0xFFFFFFFF)
+        if offset not in self._registers:
+            raise ValueError(f"register offset 0x{offset:x} is invalid")
+        value &= 0xFFFFFFFF
+        self._registers[offset] = value
+        if offset in self._write_hooks:
+            self._write_hooks[offset](value)
 
     def on_register_write(self, offset: int, hook: Callable[[int], None]) -> None:
         """Register a side-effect hook fired when the host writes *offset*."""
-        self._check_register(offset)
-        self._write_hooks[offset] = hook
-
-    def _check_register(self, offset: int) -> None:
-        if offset % 4 != 0 or not 0 <= offset < self.register_bytes:
+        if offset not in self._registers:
             raise ValueError(f"register offset 0x{offset:x} is invalid")
+        self._write_hooks[offset] = hook
 
     # --------------------------------------------------------------- window
     def read_window(self, offset: int, length: int) -> bytes:
@@ -52,9 +54,10 @@ class PciFunctionInterface:
         return bytes(self._window[offset : offset + length])
 
     def write_window(self, offset: int, payload: bytes) -> None:
-        if offset < 0 or offset + len(payload) > self.window_bytes:
+        end = offset + len(payload)
+        if offset < 0 or end > self.window_bytes:
             raise ValueError("window write out of range")
-        self._window[offset : offset + len(payload)] = payload
+        self._window[offset:end] = payload
 
 
 class PciDevice(PciDeviceProtocol):
@@ -79,28 +82,14 @@ class PciDevice(PciDeviceProtocol):
         )
 
     # ----------------------------------------------------------- bus facing
-    def claims(self, address: int) -> bool:
-        return self.config_space.decode(address) is not None
-
-    def memory_read(self, address: int, length: int) -> bytes:
-        bar = self._decode(address)
-        offset = bar.offset_of(address)
+    def bar_read(self, bar: BaseAddressRegister, offset: int, length: int) -> bytes:
         if bar.index == 0:
-            value = self.interface.read_register(offset)
-            return value.to_bytes(4, "little")[:length]
+            return self.interface.read_register(offset).to_bytes(4, "little")[:length]
         return self.interface.read_window(offset, length)
 
-    def memory_write(self, address: int, payload: bytes) -> None:
-        bar = self._decode(address)
-        offset = bar.offset_of(address)
+    def bar_write(self, bar: BaseAddressRegister, offset: int, payload: bytes) -> None:
         if bar.index == 0:
-            value = int.from_bytes(payload[:4].ljust(4, b"\x00"), "little")
-            self.interface.write_register(offset, value)
+            # Little-endian: a short payload reads as if zero-padded to 4 bytes.
+            self.interface.write_register(offset, int.from_bytes(payload[:4], "little"))
         else:
             self.interface.write_window(offset, payload)
-
-    def _decode(self, address: int) -> BaseAddressRegister:
-        bar = self.config_space.decode(address)
-        if bar is None:
-            raise ValueError(f"{self.name} does not claim address 0x{address:08x}")
-        return bar

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class TransactionKind(enum.Enum):
@@ -15,37 +14,42 @@ class TransactionKind(enum.Enum):
     CONFIG_WRITE = "config-write"
 
 
-@dataclass
 class PciTransaction:
     """One bus transaction: an address, a direction and a payload.
 
     For reads the payload carries the returned data once the transaction
-    completes; ``latency_ns`` is filled in by the bus.
+    completes; ``latency_ns`` is filled in by the bus.  ``is_write`` is
+    derived from *kind* once, at construction.
     """
 
-    kind: TransactionKind
-    address: int
-    length: int
-    payload: bytes = b""
-    completed: bool = False
-    latency_ns: float = 0.0
+    __slots__ = ("kind", "address", "length", "payload", "completed", "latency_ns", "is_write")
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
+    def __init__(
+        self, kind: TransactionKind, address: int, length: int, payload: bytes = b""
+    ) -> None:
+        if address < 0:
             raise ValueError("transaction address cannot be negative")
-        if self.length < 0:
+        if length < 0:
             raise ValueError("transaction length cannot be negative")
-        if self.kind in (TransactionKind.MEMORY_WRITE, TransactionKind.CONFIG_WRITE):
-            if len(self.payload) != self.length:
-                raise ValueError(
-                    f"write transaction declares {self.length} bytes but carries "
-                    f"{len(self.payload)}"
-                )
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind in (TransactionKind.MEMORY_WRITE, TransactionKind.CONFIG_WRITE)
+        is_write = kind is TransactionKind.MEMORY_WRITE or kind is TransactionKind.CONFIG_WRITE
+        if is_write and len(payload) != length:
+            raise ValueError(
+                f"write transaction declares {length} bytes but carries {len(payload)}"
+            )
+        self.kind = kind
+        self.address = address
+        self.length = length
+        self.payload = payload
+        self.completed = False
+        self.latency_ns = 0.0
+        self.is_write = is_write
 
     @property
     def is_read(self) -> bool:
         return not self.is_write
+
+    def __repr__(self) -> str:
+        return (
+            f"PciTransaction({self.kind.name}, address=0x{self.address:08x}, "
+            f"length={self.length}, completed={self.completed})"
+        )

@@ -66,7 +66,7 @@ class ClockDomain:
 
     def cycles_to_ns(self, cycles: float) -> float:
         """Convert a cycle count in this domain to nanoseconds."""
-        return cycles * self.period_ns
+        return cycles * (1e9 / self.frequency_hz)
 
     def ns_to_cycles(self, nanoseconds: float) -> float:
         """Convert nanoseconds to (possibly fractional) cycles in this domain."""
@@ -104,7 +104,8 @@ class Clock:
             raise ValueError(f"cannot advance clock by negative delta {delta_ns}")
         previous = self._now
         self._now += float(delta_ns)
-        self._notify(previous, self._now)
+        if self._observers:
+            self._notify(previous, self._now)
         return self._now
 
     def advance_to(self, time_ns: float) -> float:
@@ -112,7 +113,8 @@ class Clock:
         if time_ns > self._now:
             previous = self._now
             self._now = float(time_ns)
-            self._notify(previous, self._now)
+            if self._observers:
+                self._notify(previous, self._now)
         return self._now
 
     def reset(self, start_ns: float = 0.0) -> None:

@@ -109,6 +109,16 @@ class TestMatMul:
         expected = matrix_multiply(a, b)
         assert list(result) == [value for row in expected for value in row]
 
+    def test_int32_accumulator_wraps_on_extreme_operands(self):
+        function = MatMulFunction()
+        # Every element -32768: each dot product is 8 * 2**30 = 2**33, which
+        # an int32 accumulator wraps to exactly 0.
+        minimum = struct.pack("<128h", *([-32768] * 128))
+        assert function.behaviour(minimum) == bytes(256)
+        # 8 * 32767**2 = 8589410312 wraps to 8589410312 - 2 * 2**32 = -524280.
+        maximum = struct.pack("<128h", *([32767] * 128))
+        assert struct.unpack("<64i", function.behaviour(maximum)) == (-524280,) * 64
+
 
 class TestCrc32Function:
     def test_matches_zlib(self):

@@ -149,6 +149,77 @@ class TestBusAndDevice:
         assert 0.0 < bus.utilisation() <= 1.0
 
 
+class TestRoutingIsLive:
+    """Routing reads each device's config space on every transaction.
+
+    A bus that cached decode results per address (or per device) would keep
+    delivering to a stale BAR base or to a device whose memory decoding the
+    host has switched off; these tests warm the path first, then change the
+    config space underneath it.
+    """
+
+    NEW_WINDOW_BASE = 0x8000_0000
+    NEW_REGISTER_BASE = 0x9000_0000
+
+    def test_reassigned_bar_routes_to_new_base_and_old_base_aborts(self):
+        _, bus, device, bridge = _system()
+        old_window = bridge.window_base("card")
+        old_registers = bridge.register_base("card")
+        bus.write(old_window + 8, b"warm")
+        assert bus.read(old_registers + 0x10, 4) == bytes(4)
+
+        device.config_space.assign_bar(1, self.NEW_WINDOW_BASE)
+        device.config_space.assign_bar(0, self.NEW_REGISTER_BASE)
+        bus.write(self.NEW_WINDOW_BASE + 8, b"moved")
+        assert device.interface.read_window(8, 5) == b"moved"
+        bus.write(self.NEW_REGISTER_BASE + 0x10, (0xFEED).to_bytes(4, "little"))
+        assert device.interface.read_register(0x10) == 0xFEED
+        completed = bus.transactions_completed
+        for stale in (old_window + 8, old_registers + 0x10):
+            with pytest.raises(PciBusError):
+                bus.read(stale, 4)
+        assert bus.transactions_completed == completed
+
+    def test_memory_disable_aborts_without_charging_time(self):
+        clock, bus, device, bridge = _system()
+        bridge.write_register("card", 0x10, 1)
+        bridge.read_window("card", 0, 4)
+        before = (clock.now, bus.busy_time_ns, bus.transactions_completed, bus.bytes_transferred)
+
+        device.config_space.command &= ~PciConfigSpace.COMMAND_MEMORY_ENABLE
+        with pytest.raises(PciBusError):
+            bridge.write_register("card", 0x10, 2)
+        with pytest.raises(PciBusError):
+            bridge.read_window("card", 0, 4)
+        assert (clock.now, bus.busy_time_ns, bus.transactions_completed, bus.bytes_transferred) == before
+        assert device.interface.read_register(0x10) == 1
+
+        device.config_space.enable_memory()
+        bridge.write_register("card", 0x10, 3)
+        assert device.interface.read_register(0x10) == 3
+
+    def test_dma_routes_through_the_same_checks(self):
+        clock, bus, device, bridge = _system()
+        payload = bytes(index % 251 for index in range(600))
+        bridge.dma_to_card("card", 0, payload)
+
+        device.config_space.assign_bar(1, self.NEW_WINDOW_BASE)
+        moved = payload[::-1]
+        completion = bridge.dma.transfer(
+            DmaDescriptor(card_address=self.NEW_WINDOW_BASE, length=600, to_card=True, host_buffer=moved)
+        )
+        assert completion.transactions == 3
+        assert device.interface.read_window(0, 600) == moved
+        with pytest.raises(PciBusError):
+            bridge.dma_from_card("card", 0, 600)  # the bridge still holds the old base
+
+        device.config_space.command &= ~PciConfigSpace.COMMAND_MEMORY_ENABLE
+        busy, completed = bus.busy_time_ns, bus.transactions_completed
+        with pytest.raises(PciBusError):
+            bridge.dma.transfer(DmaDescriptor(card_address=self.NEW_WINDOW_BASE, length=600, to_card=False))
+        assert (bus.busy_time_ns, bus.transactions_completed) == (busy, completed)
+
+
 class TestDma:
     def test_dma_to_and_from_card(self):
         _, bus, device, bridge = _system(window_bytes=8192)
