@@ -32,15 +32,13 @@ from repro.cluster.sharded import (
     partition_cards,
     run_sharded,
 )
-from repro.cluster.fleet import (
+from repro.cluster.fleet import Fleet, FleetCard, RetryEnvelope
+from repro.cluster.orders import (
     DefragOrder,
-    Fleet,
-    FleetCard,
     HealOrder,
     MigrateOrder,
     ReleaseOrder,
     RestoreOrder,
-    RetryEnvelope,
     ScrubOrder,
 )
 from repro.cluster.rebalance import MigrationOrder, Rebalancer

@@ -38,15 +38,30 @@ the recovery policy: the dead card's hottest resident functions are
 re-resident-ized (preloaded) on the surviving cards with the most free
 fabric.  Scrub and heal work flow through the same bounded card queues as
 requests, so reliability spends real card time — the trade-off E10 sweeps.
+
+Control plane
+-------------
+Scrub, defrag, heal and the three migration phases (capture, restore,
+release) are :mod:`repro.cluster.orders`: small objects that name their span,
+check a precondition (``ready``), make one driver call (``apply``) and book
+the outcome (``settle``).  One runner, :meth:`Fleet._run_order`, executes
+every kind the same way — span, health check, timed driver call, fleet-time
+charge, queue accounting.  The charge is the card-clock delta around
+``apply`` and it is paid whether the card completed the order or refused it
+part-way, exactly as a refused request is.  Scrub, defrag and rebalance
+timers are one idle-terminating loop, :meth:`Fleet._every`, around a
+per-period ``tick``.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.arrivals import open_arrivals
 from repro.cluster.dispatch import DispatchPolicy, build_dispatch_policy, request_expired
 from repro.cluster.fastpath import ServeMemo
+from repro.cluster.orders import DefragOrder, HealOrder, MigrateOrder, Order, ScrubOrder
 from repro.cluster.stats import FleetStatistics
 from repro.core.exceptions import CoprocessorError
 from repro.core.host import HostDriver
@@ -62,6 +77,21 @@ _NO_CARDS_TRIED: frozenset = frozenset()
 _OUTCOME_MARKERS = {
     "rejected": _obs_names.SPAN_FLEET_REJECTED,
     "expired": _obs_names.SPAN_FLEET_EXPIRED,
+}
+
+#: Per-card reliability counters summed over the fleet: summary key ->
+#: (component of the card's coprocessor, counter on it).  The one source
+#: for the callback gauges and both summaries.
+_CARD_TALLIES = {
+    "scrub_passes": ("scrubber", "stats.passes"),
+    "scrub_frames_checked": ("scrubber", "stats.frames_checked"),
+    "scrub_detected": ("scrubber", "stats.detected"),
+    "scrub_corrected": ("scrubber", "stats.corrected"),
+    "scrub_uncorrectable": ("scrubber", "stats.uncorrectable"),
+    "hazard_executions": ("device.hazard_detector", "hazard_executions"),
+    "defrag_passes": ("defragmenter", "stats.passes"),
+    "defrag_moves": ("defragmenter", "stats.moves"),
+    "defrag_frames_moved": ("defragmenter", "stats.frames_moved"),
 }
 
 
@@ -88,88 +118,6 @@ class _ReqTrace:
         #: Re-stamped by every enqueue (fresh dispatch and failover alike),
         #: so each hop gets its own ``fleet.queue`` wait span.
         self.enqueued_ns = arrival_ns
-
-
-class ScrubOrder:
-    """Internal card-queue item: run one readback-scrub window."""
-
-    __slots__ = ("frames",)
-
-    def __init__(self, frames: Optional[int]) -> None:
-        self.frames = frames
-
-
-class HealOrder:
-    """Internal card-queue item: re-resident-ize a dead card's function."""
-
-    __slots__ = ("function", "failed_card", "killed_at_ns")
-
-    def __init__(self, function: str, failed_card: str, killed_at_ns: float) -> None:
-        self.function = function
-        self.failed_card = failed_card
-        self.killed_at_ns = killed_at_ns
-
-
-class DefragOrder:
-    """Internal card-queue item: run one bounded defragmentation pass."""
-
-    __slots__ = ("max_moves",)
-
-    def __init__(self, max_moves: Optional[int]) -> None:
-        self.max_moves = max_moves
-
-
-class MigrateOrder:
-    """Internal card-queue item (source side): capture a function for migration."""
-
-    __slots__ = ("function", "dest_index", "ordered_ns")
-
-    def __init__(self, function: str, dest_index: int, ordered_ns: float) -> None:
-        self.function = function
-        self.dest_index = dest_index
-        self.ordered_ns = ordered_ns
-
-
-class RestoreOrder:
-    """Internal card-queue item (destination side): restore a captured image."""
-
-    __slots__ = ("function", "blob", "source_index", "frames", "ordered_ns")
-
-    def __init__(
-        self,
-        function: str,
-        blob: bytes,
-        source_index: int,
-        frames: int,
-        ordered_ns: float,
-    ) -> None:
-        self.function = function
-        self.blob = blob
-        self.source_index = source_index
-        self.frames = frames
-        self.ordered_ns = ordered_ns
-
-
-class ReleaseOrder:
-    """Internal card-queue item (source side): release a migrated function."""
-
-    __slots__ = ("function", "dest_name", "blob_bytes", "frames", "ordered_ns", "byte_identical")
-
-    def __init__(
-        self,
-        function: str,
-        dest_name: str,
-        blob_bytes: int,
-        frames: int,
-        ordered_ns: float,
-        byte_identical: bool,
-    ) -> None:
-        self.function = function
-        self.dest_name = dest_name
-        self.blob_bytes = blob_bytes
-        self.frames = frames
-        self.ordered_ns = ordered_ns
-        self.byte_identical = byte_identical
 
 
 class RetryEnvelope:
@@ -219,10 +167,9 @@ class FleetCard:
         self.down_since_ns: Optional[float] = None
         self.degraded_until_ns = 0.0
         self.serve_failures = 0
-        #: True while a scrub order is queued/in service (one at a time).
-        self.scrub_pending = False
-        #: True while a defrag order is queued/in service (one at a time).
-        self.defrag_pending = False
+        #: Periodic order kinds ("scrub", "defrag") queued or in service on
+        #: this card — at most one of each at a time.
+        self.pending_orders: set = set()
         #: Optional :class:`~repro.cluster.fastpath.ServeMemo` installed by
         #: ``Fleet(hit_fastpath=True)``; ``None`` keeps the historical path.
         self.memo = None
@@ -273,68 +220,6 @@ class FleetCard:
         self.served += 1
         self.busy_ns += service_ns
         return service_ns, hit
-
-    @property
-    def hazard_detector(self):
-        """The card's executor-path hazard detector (``None`` unprotected)."""
-        return self.driver.coprocessor.device.hazard_detector
-
-    def scrub_chunk(self, max_frames: Optional[int]) -> float:
-        """Run one scrub window on the card's private timeline; returns Δt."""
-        scrubber = self.driver.coprocessor.scrubber
-        if scrubber is None:
-            return 0.0
-        clock = self.driver.clock
-        before = clock.now
-        scrubber.scrub_pass(max_frames=max_frames)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
-
-    def preload_timed(self, function: str) -> float:
-        """Preload *function* through the PCI path; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.preload(function)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
-
-    def capture_timed(self, function: str) -> tuple:
-        """CAPTURE *function* through the PCI path; returns ``(blob, Δt)``."""
-        clock = self.driver.clock
-        before = clock.now
-        blob = self.driver.capture_function(function)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return blob, elapsed
-
-    def restore_timed(self, function: str, blob: bytes) -> float:
-        """RESTORE *function* from a migration blob; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.restore_function(function, blob)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
-
-    def evict_timed(self, function: str) -> float:
-        """EVICT *function* through the PCI path; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.evict(function)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
-
-    def defrag_timed(self, max_moves: Optional[int]) -> float:
-        """Run one DEFRAG pass on the card; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.defrag_card(max_moves if max_moves is not None else 0)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
 
 
 class Fleet:
@@ -430,15 +315,12 @@ class Fleet:
         self._workers_spawned = False
         self._arrivals_process = None
         # Fault tolerance (all off until enable_fault_tolerance/install_faults).
-        self.scrub_period_ns: Optional[float] = None
         self.scrub_frames_per_order = 8
         self.heal_on_failure = False
         self.heal_limit = 4
         self.injector = None
         # Rebalancing / defragmentation (PR 5; off until enabled).
         self.rebalancer = None
-        self.rebalance_period_ns: Optional[float] = None
-        self.defrag_period_ns: Optional[float] = None
         self.defrag_moves_per_order: Optional[int] = None
         #: Functions with a migration in flight (ordered, not yet released or
         #: failed) — the planner must not order the same function twice.
@@ -468,49 +350,23 @@ class Fleet:
         """Expose live fleet state as callback gauges (read at snapshot)."""
         cards = self.cards
         stats = self.stats
-
-        def _scrub_sum(field):
-            return lambda: sum(
-                getattr(card.driver.coprocessor.scrubber.stats, field)
-                for card in cards
-                if card.driver.coprocessor.scrubber is not None
-            )
-
-        def _defrag_sum(field):
-            return lambda: sum(
-                getattr(card.driver.coprocessor.defragmenter.stats, field)
-                for card in cards
-                if card.driver.coprocessor.defragmenter is not None
-            )
-
         names = _obs_names
-        registry.gauge(
-            names.GAUGE_CARDS_DOWN,
-            fn=lambda: sum(1 for card in cards if card.health == "down"),
-        )
+        registry.gauge(names.GAUGE_CARDS_DOWN, fn=self._cards_down)
         registry.gauge(
             names.GAUGE_QUEUE_OUTSTANDING,
             fn=lambda: sum(card.outstanding for card in cards),
         )
-        registry.gauge(names.GAUGE_SCRUB_PASSES, fn=_scrub_sum("passes"))
-        registry.gauge(
-            names.GAUGE_SCRUB_FRAMES_CHECKED, fn=_scrub_sum("frames_checked")
-        )
-        registry.gauge(names.GAUGE_SCRUB_DETECTED, fn=_scrub_sum("detected"))
-        registry.gauge(names.GAUGE_SCRUB_CORRECTED, fn=_scrub_sum("corrected"))
-        registry.gauge(
-            names.GAUGE_SCRUB_UNCORRECTABLE, fn=_scrub_sum("uncorrectable")
-        )
-        registry.gauge(
-            names.GAUGE_HAZARD_EXECUTIONS,
-            fn=lambda: sum(
-                card.hazard_detector.hazard_executions
-                for card in cards
-                if card.hazard_detector is not None
-            ),
-        )
-        registry.gauge(names.GAUGE_DEFRAG_PASSES, fn=_defrag_sum("passes"))
-        registry.gauge(names.GAUGE_DEFRAG_MOVES, fn=_defrag_sum("moves"))
+        for gauge, key in (
+            (names.GAUGE_SCRUB_PASSES, "scrub_passes"),
+            (names.GAUGE_SCRUB_FRAMES_CHECKED, "scrub_frames_checked"),
+            (names.GAUGE_SCRUB_DETECTED, "scrub_detected"),
+            (names.GAUGE_SCRUB_CORRECTED, "scrub_corrected"),
+            (names.GAUGE_SCRUB_UNCORRECTABLE, "scrub_uncorrectable"),
+            (names.GAUGE_HAZARD_EXECUTIONS, "hazard_executions"),
+            (names.GAUGE_DEFRAG_PASSES, "defrag_passes"),
+            (names.GAUGE_DEFRAG_MOVES, "defrag_moves"),
+        ):
+            registry.gauge(gauge, fn=lambda key=key: self._tally(key))
         registry.gauge(
             names.GAUGE_SOJOURN_P50, fn=lambda: stats.latency_percentile(50)
         )
@@ -520,6 +376,21 @@ class Fleet:
         registry.gauge(
             names.GAUGE_SOJOURN_P99, fn=lambda: stats.latency_percentile(99)
         )
+
+    def _cards_down(self) -> int:
+        return sum(1 for card in self.cards if card.health == "down")
+
+    def _tally(self, key: str) -> int:
+        """Sum one :data:`_CARD_TALLIES` counter over the cards (a card
+        without the component — say, no scrubber installed — adds zero)."""
+        component, counter = _CARD_TALLIES[key]
+        part_of, read = attrgetter(component), attrgetter(counter)
+        total = 0
+        for card in self.cards:
+            part = part_of(card.driver.coprocessor)
+            if part is not None:
+                total += read(part)
+        return total
 
     def _bind_obs_watchers(self) -> None:
         """Hook the SLO engine and flight recorder into the record paths.
@@ -582,20 +453,6 @@ class Fleet:
                 outcome=outcome,
             )
 
-    def _obs_order_begin(self):
-        """Open a fresh (sampled) control-plane order trace, or ``None``.
-
-        Returns ``(trace_id, start_ns)`` — each order is its own trace in
-        the negative-id namespace, the ROADMAP's order-level trace hook.
-        """
-        tracer = self._tracer
-        if tracer is None:
-            return None
-        trace_id = tracer.new_trace_id()
-        if not tracer.sampled(trace_id):
-            return None
-        return trace_id, self.clock._now
-
     def _spawn_workers(self) -> None:
         if self._workers_spawned:
             return
@@ -630,18 +487,21 @@ class Fleet:
         card_trace = card._obs_trace
         while True:
             item = yield get_request
-            if item.__class__ is FleetRequest:
-                tried = _NO_CARDS_TRIED
-                request = item
-            else:
-                order = yield from self._worker_order(card, item)
+            if isinstance(item, Order):
+                yield from self._run_order(card, item)
                 if card_trace is not None:
                     # Orders' device events are not bridged; drop them so the
                     # enabled recorder cannot grow without bound.
                     del card_trace.events[:]
-                if order is None:
-                    continue
-                request, tried = order
+                continue
+            # Any request class (gateway requests included) goes straight to
+            # serving; a failover's RetryEnvelope carries the cards tried.
+            if item.__class__ is RetryEnvelope:
+                tried = item.tried
+                request = item.request
+            else:
+                tried = _NO_CARDS_TRIED
+                request = item
             if tracer is not None:
                 ctx = trace_ctx.get(id(request))
                 if ctx is not None:
@@ -664,7 +524,7 @@ class Fleet:
                 # result would be discarded by every real client anyway, so
                 # serving it would only burn card time and hide the overload.
                 card.outstanding -= 1
-                self._expire(request)
+                self._end_request(request, "expired")
                 continue
             if card.health == "down":
                 card.outstanding -= 1
@@ -753,247 +613,45 @@ class Fleet:
             if callback is not None:
                 callback(request, "completed", clock._now)
 
-    def _worker_order(self, card: FleetCard, item):
-        """Handle one non-request queue item (OS-level orders).
+    def _run_order(self, card: FleetCard, order: Order):
+        """Run one control-plane order on *card* (see :mod:`repro.cluster.orders`).
 
-        Returns ``None`` when the item was consumed, or ``(request, tried)``
-        when it unwrapped to a tenant request the caller must serve.  Split
-        out of :meth:`_worker` so the per-request loop pays one class check
-        in the common case instead of walking the whole order ladder.
+        The card-clock delta around ``apply`` is charged to ``busy_ns`` and
+        held on the fleet timeline whether the card completed the order or
+        refused it (``CoprocessorError``) part-way: the driver traffic of a
+        refusal already spent that card time.
         """
-        if item.__class__ is ScrubOrder:
-            obs = self._obs_order_begin()
-            if card.health != "down":
-                elapsed = card.scrub_chunk(item.frames)
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            card.scrub_pending = False
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_SCRUB,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                )
-            return None
-        if item.__class__ is DefragOrder:
-            obs = self._obs_order_begin()
-            if card.health != "down":
-                clock_before = card.driver.clock.now
-                try:
-                    elapsed = card.defrag_timed(item.max_moves)
-                except CoprocessorError:
-                    # The port wedged mid-pass: functions are intact where
-                    # they were, but the compaction time already spent on
-                    # the card's clock is real.
-                    elapsed = card.driver.clock.now - clock_before
-                    card.busy_ns += elapsed
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            card.defrag_pending = False
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_DEFRAG,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                )
-            return None
-        if item.__class__ is MigrateOrder:
-            obs = self._obs_order_begin()
-            handed_off = False
-            function = item.function
-            dest = self.cards[item.dest_index]
-            if card.health == "down" or not card.driver.card.is_resident(function):
-                self.stats.record_migration_failed(
-                    function, card.name, "source-lost", self.clock.now
-                )
-            else:
-                frames = len(card.driver.coprocessor.device.region_of(function))
-                clock_before = card.driver.clock.now
-                try:
-                    blob, elapsed = card.capture_timed(function)
-                except CoprocessorError:
-                    failed_ns = card.driver.clock.now - clock_before
-                    card.busy_ns += failed_ns
-                    if failed_ns > 0:
-                        yield Timeout(failed_ns)
-                    self.stats.record_migration_failed(
-                        function, card.name, "capture-failed", self.clock.now
-                    )
-                else:
-                    if elapsed > 0:
-                        yield Timeout(elapsed)
-                    if dest.health == "down":
-                        self.stats.record_migration_failed(
-                            function, dest.name, "dest-down", self.clock.now
-                        )
-                    else:
-                        dest.outstanding += 1
-                        dest.queue.put(
-                            RestoreOrder(
-                                function, blob, card.index, frames, item.ordered_ns
-                            )
-                        )
-                        handed_off = True
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_MIGRATE_CAPTURE,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=function,
-                    handed_off=handed_off,
-                )
-            if not handed_off:
-                self.migrating.discard(function)
-            return None
-        if item.__class__ is RestoreOrder:
-            obs = self._obs_order_begin()
-            function = item.function
-            restored = False
-            if card.health == "down":
-                self.stats.record_migration_failed(
-                    function, card.name, "dest-died", self.clock.now
-                )
-            else:
-                clock_before = card.driver.clock.now
-                try:
-                    elapsed = card.restore_timed(function, item.blob)
-                except CoprocessorError:
-                    # Wedged port or capacity on the destination: the
-                    # function is still resident (and serving) on the
-                    # source, so a failed restore costs time, not service.
-                    failed_ns = card.driver.clock.now - clock_before
-                    card.busy_ns += failed_ns
-                    if failed_ns > 0:
-                        yield Timeout(failed_ns)
-                    self.stats.record_migration_failed(
-                        function, card.name, "restore-failed", self.clock.now
-                    )
-                else:
-                    if elapsed > 0:
-                        yield Timeout(elapsed)
-                    restored = True
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_MIGRATE_RESTORE,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=function,
-                    restored=restored,
-                )
-            if not restored:
-                self.migrating.discard(function)
-                return None
-            byte_identical = self._blob_matches_readback(card, function, item.blob)
-            source = self.cards[item.source_index]
-            if source.health != "down" and source.driver.card.is_resident(function):
-                source.outstanding += 1
-                source.queue.put(
-                    ReleaseOrder(
-                        function,
-                        card.name,
-                        len(item.blob),
-                        item.frames,
-                        item.ordered_ns,
-                        byte_identical,
-                    )
-                )
-            else:
-                # The source died (or already lost the frames) while the
-                # image was in flight — the restore itself completes the
-                # migration; there is nothing left to release.
-                self.migrating.discard(function)
-                self.stats.record_migration(
-                    function,
-                    source.name,
-                    card.name,
-                    item.ordered_ns,
-                    self.clock.now,
-                    item.frames,
-                    len(item.blob),
-                    byte_identical,
-                )
-            return None
-        if item.__class__ is ReleaseOrder:
-            obs = self._obs_order_begin()
-            function = item.function
-            if card.health != "down" and card.driver.card.is_resident(function):
-                elapsed = card.evict_timed(function)
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_MIGRATE_RELEASE,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=function,
-                )
-            self.migrating.discard(function)
-            self.stats.record_migration(
-                function,
-                card.name,
-                item.dest_name,
-                item.ordered_ns,
-                self.clock.now,
-                item.frames,
-                item.blob_bytes,
-                item.byte_identical,
+        tracer = self._tracer
+        if tracer is not None:
+            # Each order is its own trace, in the negative-id namespace.
+            trace_id = tracer.new_trace_id()
+            if not tracer.sampled(trace_id):
+                tracer = None
+        started_ns = self.clock._now
+        done = None
+        if card.health != "down" and order.ready(self, card):
+            card_clock = card._card_clock
+            before = card_clock._now
+            try:
+                order.apply(card)
+                done = True
+            except CoprocessorError:
+                done = False
+            elapsed = card_clock._now - before
+            card.busy_ns += elapsed
+            if elapsed > 0:
+                yield Timeout(elapsed)
+        card.outstanding -= 1
+        attrs = order.settle(self, card, done)
+        if tracer is not None:
+            tracer.record(
+                order.span, trace_id, None, started_ns, self.clock._now, card=card.name, **attrs
             )
-            return None
-        tried = _NO_CARDS_TRIED
-        if item.__class__ is RetryEnvelope:
-            tried = item.tried
-            item = item.request
-        if item.__class__ is HealOrder:
-            obs = self._obs_order_begin()
-            healed = False
-            if card.health != "down":
-                try:
-                    elapsed = card.preload_timed(item.function)
-                    healed = True
-                except CoprocessorError:
-                    # Capacity or a (now) wedged port: the heal is best
-                    # effort — the function stays cold until requested.
-                    elapsed = 0.0
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_HEAL,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=item.function,
-                    healed=healed,
-                )
-            if healed:
-                self.stats.record_heal(
-                    item.function, card.name, item.killed_at_ns, self.clock.now
-                )
-            return None
-        return item, tried
+
+    def _enqueue(self, card: FleetCard, order: Order) -> None:
+        """Queue a control-plane order behind *card*'s requests."""
+        card.outstanding += 1
+        card.queue.put(order)
 
     def _route(
         self,
@@ -1004,15 +662,10 @@ class Fleet:
         """Choose among *candidates* and enqueue, or reject.  The single
         admission/enqueue path shared by fresh dispatch and failover."""
         card = self.policy.choose(request, candidates)
-        stats = self.stats
         if card is None:
-            stats.record_rejection(request.tenant, request.function, self.clock.now)
-            if self._tracer is not None:
-                self._obs_end(request, "rejected", self.clock._now)
-            callback = self.on_request_outcome
-            if callback is not None:
-                callback(request, "rejected", self.clock.now)
+            self._end_request(request, "rejected")
             return
+        stats = self.stats
         card.outstanding += 1
         # record_dispatch, inlined (once per admitted request).
         stats.dispatched += 1
@@ -1052,19 +705,23 @@ class Fleet:
         ):
             # Dead on arrival (e.g. delivered late by a congested front-door
             # link): never admitted, so no card time is spent on it.
-            self._expire(request)
+            self._end_request(request, "expired")
             return
         self._route(request, self.cards)
 
-    def _expire(self, request: FleetRequest) -> None:
-        """Fail a deadline-expired request fast and tell the front door."""
-        now = self.clock.now
-        self.stats.record_expired(request.tenant, request.function, now)
+    def _end_request(self, request: FleetRequest, outcome: str) -> None:
+        """Settle a request that will not complete — ``"rejected"`` (no
+        admissible card) or ``"expired"`` (deadline passed): count it, close
+        its trace and tell the front door."""
+        now = self.clock._now
+        stats = self.stats
+        record = stats.record_rejection if outcome == "rejected" else stats.record_expired
+        record(request.tenant, request.function, now)
         if self._tracer is not None:
-            self._obs_end(request, "expired", now)
+            self._obs_end(request, outcome, now)
         callback = self.on_request_outcome
         if callback is not None:
-            callback(request, "expired", now)
+            callback(request, outcome, now)
 
     def submit(self, request: FleetRequest) -> None:
         """Admit one externally-delivered request at the current instant.
@@ -1108,12 +765,7 @@ class Fleet:
         tried = tried | {failed.index}
         candidates = [card for card in self.cards if card.index not in tried]
         if not candidates:
-            self.stats.record_rejection(request.tenant, request.function, self.clock.now)
-            if self._tracer is not None:
-                self._obs_end(request, "rejected", self.clock._now)
-            callback = self.on_request_outcome
-            if callback is not None:
-                callback(request, "rejected", self.clock.now)
+            self._end_request(request, "rejected")
             return
         self._route(request, candidates, tried)
 
@@ -1156,6 +808,32 @@ class Fleet:
                     factory(), name=name
                 )
 
+    def _every(self, period_ns: float, tick: Callable[[], None]):
+        """The periodic-service loop: call *tick* once per period until the
+        fleet is idle, so the kernel's event queue can drain."""
+        while True:
+            yield Timeout(period_ns)
+            if self.is_idle:
+                return
+            tick()
+
+    def _add_card_services(
+        self, kind: str, period_ns: float, make_order: Callable[[], Order]
+    ) -> None:
+        """Give every card a periodic *kind* service enqueuing one order per
+        period; a tick skips a down card and one whose previous *kind* order
+        is still pending (the order clears ``card.pending_orders``)."""
+        for card in self.cards:
+
+            def tick(card=card):
+                if card.health != "down" and kind not in card.pending_orders:
+                    card.pending_orders.add(kind)
+                    self._enqueue(card, make_order())
+
+            self.add_service(
+                f"{card.name}-{kind}", lambda tick=tick: self._every(period_ns, tick)
+            )
+
     def enable_fault_tolerance(
         self,
         scrub_period_ns: Optional[float] = None,
@@ -1177,7 +855,6 @@ class Fleet:
             raise ValueError("a scrub order must cover at least one frame")
         for card in self.cards:
             card.driver.coprocessor.enable_fault_protection()
-        self.scrub_period_ns = scrub_period_ns
         self.scrub_frames_per_order = scrub_frames_per_order
         self.heal_on_failure = heal_on_failure
         self.heal_limit = heal_limit
@@ -1188,11 +865,11 @@ class Fleet:
                 for card in self.cards:
                     card.driver.coprocessor.mcu.scrub_on_execute = True
             else:
-                for card in self.cards:
-                    self.add_service(
-                        f"{card.name}-scrub",
-                        lambda card=card: self._scrub_service(card),
-                    )
+                self._add_card_services(
+                    "scrub",
+                    scrub_period_ns,
+                    lambda: ScrubOrder(self.scrub_frames_per_order),
+                )
 
     # ---------------------------------------------------------- rebalancing
     def enable_rebalancing(
@@ -1224,34 +901,27 @@ class Fleet:
             keep_resident=keep_resident,
             cooldown_ns=int(10 * period_ns) if cooldown_ns is None else cooldown_ns,
         )
-        self.rebalance_period_ns = period_ns
-        self.add_service("fleet-rebalance", self._rebalance_service)
+        self.add_service(
+            "fleet-rebalance", lambda: self._every(period_ns, self._order_migrations)
+        )
         return self.rebalancer
 
-    def _rebalance_service(self):
-        """Plan and enqueue migrations once per period (idle-terminating)."""
-        period = self.rebalance_period_ns
-        while True:
-            yield Timeout(period)
-            if self.is_idle:
-                return
-            if self.rebalancer is None:
-                return
-            for order in self.rebalancer.plan(self):
-                source = self.cards[order.source_index]
-                if source.health == "down" or not source.holds(order.function):
-                    continue
-                self.migrating.add(order.function)
-                source.outstanding += 1
-                self.stats.record_migration_order(
-                    order.function,
-                    source.name,
-                    self.cards[order.dest_index].name,
-                    self.clock.now,
-                )
-                source.queue.put(
-                    MigrateOrder(order.function, order.dest_index, self.clock.now)
-                )
+    def _order_migrations(self) -> None:
+        """One rebalance tick: enqueue the planner's migrations."""
+        for order in self.rebalancer.plan(self):
+            source = self.cards[order.source_index]
+            if source.health == "down" or not source.holds(order.function):
+                continue
+            self.migrating.add(order.function)
+            self.stats.record_migration_order(
+                order.function,
+                source.name,
+                self.cards[order.dest_index].name,
+                self.clock.now,
+            )
+            self._enqueue(
+                source, MigrateOrder(order.function, order.dest_index, self.clock.now)
+            )
 
     def enable_defrag(
         self,
@@ -1273,53 +943,14 @@ class Fleet:
         if period_ns is not None:
             if period_ns <= 0:
                 raise ValueError("the defrag period must be positive")
-            self.defrag_period_ns = period_ns
             self.defrag_moves_per_order = moves_per_order
-            for card in self.cards:
-                self.add_service(
-                    f"{card.name}-defrag",
-                    lambda card=card: self._defrag_service(card),
-                )
-
-    def _defrag_service(self, card: FleetCard):
-        """Enqueue one defrag order per period (skips while one is pending)."""
-        period = self.defrag_period_ns
-        while True:
-            yield Timeout(period)
-            if self.is_idle:
-                return
-            if card.health == "down" or card.defrag_pending:
-                continue
-            card.defrag_pending = True
-            card.outstanding += 1
-            card.queue.put(DefragOrder(self.defrag_moves_per_order))
-
-    @staticmethod
-    def _blob_matches_readback(card: FleetCard, function: str, blob: bytes) -> bool:
-        """Does *card*'s live readback of *function* match the migration blob?
-
-        Host-side verification (no simulated time): decompress the blob and
-        compare against the destination's configuration readback.  Any
-        mismatch is a migration-induced byte diff — the safety property the
-        rebalance experiments assert stays at zero.
-        """
-        from repro.bitstream.format import parse_bitstream
-        from repro.bitstream.window import CompressedImage, WindowedDecompressor
-
-        image = CompressedImage.from_bytes(blob)
-        bitstream = parse_bitstream(WindowedDecompressor(image).decompress_all())
-        return card.driver.coprocessor.device.verify_readback(function, bitstream)
+            self._add_card_services(
+                "defrag", period_ns, lambda: DefragOrder(self.defrag_moves_per_order)
+            )
 
     def rebalance_summary(self) -> dict:
         """Aggregate migration/defrag picture across the whole fleet."""
         stats = self.stats
-        defrag_passes = defrag_moves = defrag_frames_moved = 0
-        for card in self.cards:
-            defragmenter = card.driver.coprocessor.defragmenter
-            if defragmenter is not None:
-                defrag_passes += defragmenter.stats.passes
-                defrag_moves += defragmenter.stats.moves
-                defrag_frames_moved += defragmenter.stats.frames_moved
         return {
             "migration_orders": stats.migration_orders,
             "migrations_completed": stats.migrations_completed,
@@ -1328,9 +959,9 @@ class Fleet:
             "migrated_bytes": stats.migrated_bytes,
             "migration_byte_diffs": stats.migration_byte_diffs,
             "mean_migration_latency_ns": stats.mean_migration_latency_ns,
-            "defrag_passes": defrag_passes,
-            "defrag_moves": defrag_moves,
-            "defrag_frames_moved": defrag_frames_moved,
+            "defrag_passes": self._tally("defrag_passes"),
+            "defrag_moves": self._tally("defrag_moves"),
+            "defrag_frames_moved": self._tally("defrag_frames_moved"),
         }
 
     def install_faults(self, injector) -> None:
@@ -1338,19 +969,6 @@ class Fleet:
         self.injector = injector
         for name, factory in injector.processes(self):
             self.add_service(name, factory)
-
-    def _scrub_service(self, card: FleetCard):
-        """Enqueue one scrub window per period (skips while one is pending)."""
-        period = self.scrub_period_ns
-        while True:
-            yield Timeout(period)
-            if self.is_idle:
-                return
-            if card.health == "down" or card.scrub_pending:
-                continue
-            card.scrub_pending = True
-            card.outstanding += 1
-            card.queue.put(ScrubOrder(self.scrub_frames_per_order))
 
     def kill_card(self, index: int) -> bool:
         """Whole-card failure: mark *index* down and trigger recovery.
@@ -1425,9 +1043,8 @@ class Fleet:
                 candidates,
                 key=lambda card: (-card.free_frames, card.outstanding, card.index),
             )
-            target.outstanding += 1
             self.stats.record_heal_order(function, target.name, killed_at_ns)
-            target.queue.put(HealOrder(function, dead.name, killed_at_ns))
+            self._enqueue(target, HealOrder(function, dead.name, killed_at_ns))
 
     def availability(self) -> float:
         """Capacity availability: 1 − card-downtime share of the service window.
@@ -1521,52 +1138,28 @@ class Fleet:
 
         Counter values come back through :meth:`MetricsRegistry.snapshot`
         (the counters *are* registry instruments, so the numbers are
-        identical) — drill reports and the registry cannot drift apart.  On
-        an observed fleet the scrub/hazard aggregates read from the callback
-        gauges registered at construction; unobserved fleets compute the
-        same sums directly.
+        identical) — drill reports and the registry cannot drift apart.  The
+        scrub/hazard aggregates are the same per-card tallies the callback
+        gauges of an observed fleet read.
         """
-        registry = self.stats.registry
-        snap = registry.snapshot()
-        if _obs_names.GAUGE_SCRUB_PASSES in registry:
-            passes = snap[_obs_names.GAUGE_SCRUB_PASSES]
-            frames_checked = snap[_obs_names.GAUGE_SCRUB_FRAMES_CHECKED]
-            detected = snap[_obs_names.GAUGE_SCRUB_DETECTED]
-            corrected = snap[_obs_names.GAUGE_SCRUB_CORRECTED]
-            uncorrectable = snap[_obs_names.GAUGE_SCRUB_UNCORRECTABLE]
-            hazard_executions = snap[_obs_names.GAUGE_HAZARD_EXECUTIONS]
-            cards_down = snap[_obs_names.GAUGE_CARDS_DOWN]
-        else:
-            detected = corrected = uncorrectable = passes = frames_checked = 0
-            hazard_executions = 0
-            for card in self.cards:
-                scrubber = card.driver.coprocessor.scrubber
-                if scrubber is not None:
-                    detected += scrubber.stats.detected
-                    corrected += scrubber.stats.corrected
-                    uncorrectable += scrubber.stats.uncorrectable
-                    passes += scrubber.stats.passes
-                    frames_checked += scrubber.stats.frames_checked
-                detector = card.hazard_detector
-                if detector is not None:
-                    hazard_executions += detector.hazard_executions
-            cards_down = sum(1 for card in self.cards if card.health == "down")
+        snap = self.stats.registry.snapshot()
         stats = self.stats
+        tally = self._tally
         return {
             "availability": self.availability(),
             "service_availability": stats.service_availability,
-            "cards_down": cards_down,
+            "cards_down": self._cards_down(),
             "card_failures": snap[_obs_names.METRIC_CARD_FAILURES],
             "failovers": snap[_obs_names.METRIC_FAILOVERS],
             "heal_orders": snap[_obs_names.METRIC_HEAL_ORDERS],
             "heals_completed": snap[_obs_names.METRIC_HEALS_COMPLETED],
             "mttr_ns": stats.mttr_ns,
-            "scrub_passes": passes,
-            "scrub_frames_checked": frames_checked,
-            "scrub_detected": detected,
-            "scrub_corrected": corrected,
-            "scrub_uncorrectable": uncorrectable,
-            "hazard_executions": hazard_executions,
+            "scrub_passes": tally("scrub_passes"),
+            "scrub_frames_checked": tally("scrub_frames_checked"),
+            "scrub_detected": tally("scrub_detected"),
+            "scrub_corrected": tally("scrub_corrected"),
+            "scrub_uncorrectable": tally("scrub_uncorrectable"),
+            "hazard_executions": tally("hazard_executions"),
             "hazard_completions": snap[_obs_names.METRIC_HAZARD_COMPLETIONS],
             "silent_corruption_rate": stats.silent_corruption_rate,
         }

@@ -115,6 +115,32 @@ class TestSectionsRunTiny:
         ):
             assert first["frontdoor"][key] == second["frontdoor"][key], key
 
+    def test_obs_section_tiny(self):
+        results = perf_smoke.bench_obs(trace_length=100)
+        assert set(results) == {"tracing", "slo"}
+        tracing = results["tracing"]
+        assert tracing["requests"] == 100
+        # The section raises on any perturbation; these flags record it.
+        assert tracing["digest_identical_when_off"] is True
+        assert tracing["digest_identical_when_on"] is True
+        assert tracing["spans"] > tracing["trace_roots"] > 0
+        assert tracing["spans_dropped"] == 0
+        assert tracing["spans_per_s"] > 0
+        assert len(tracing["schedule_digest"]) == 16
+        assert len(tracing["trace_fingerprint"]) == 16
+        assert len(tracing["metrics_snapshot_sha"]) == 16
+        slo = results["slo"]
+        assert slo["digest_identical_with_slos"] is True
+        # Tail sampling settles every trace: each root is retained or dropped.
+        assert slo["tail_retained_traces"] > 0
+        assert (
+            slo["tail_retained_traces"] + slo["tail_discarded_traces"]
+            == tracing["trace_roots"]
+        )
+        assert slo["alerts"] > 0
+        assert slo["incidents"] > 0
+        assert len(slo["incidents_fingerprint"]) == 16
+
     def test_kernel_horizon_peek_subsection(self):
         results = perf_smoke._bench_horizon_peek(pending=64, pauses=50)
         assert results["dispatched_during_pauses"] == 0
